@@ -31,12 +31,10 @@ cell byte-identically.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +42,13 @@ from repro.apps.krylov import cg_solve
 from repro.apps.stencil import PoissonProblem, jacobi_solve
 from repro.formats import NumberFormat, resolve
 from repro.inject.campaign import CampaignConfig
+from repro.inject.csvcodec import CsvCodec
 from repro.inject.faults import FaultMasks, apply_masks
 from repro.inject.faultspec import (
     DEFAULT_FAULT_SPEC,
     canonical_fault_spec,
     resolve_fault,
 )
-from repro.inject.results import CSV_SCHEMA_VERSION
 from repro.runner.manifest import RunManifest
 from repro.runner.runner import CampaignRunner, RunnerError, ShardSpec
 
@@ -302,29 +300,25 @@ def cell_seeds(
 # Trial records (same columnar CSV discipline as inject.results)
 # ---------------------------------------------------------------------------
 
-_APP_INT_COLUMNS = (
-    "trial",
-    "cell",
-    "iteration",
-    "bit",
-    "index",
-    "clean_iterations",
-    "faulty_iterations",
+#: Column -> dtype, in CSV (and field) order.
+_APP_COLUMN_DTYPES = dict(
+    trial=np.int64, cell=np.int64, iteration=np.int64, bit=np.int64, index=np.int64,
+    clean_iterations=np.int64, faulty_iterations=np.int64,
+    converged=bool, diverged=bool, solution_error=np.float64,
+    outcome="<U16", fault_spec="<U32",
 )
-_APP_BOOL_COLUMNS = ("converged", "diverged")
-_APP_FLOAT_COLUMNS = ("solution_error",)
-_APP_STR_COLUMNS = ("outcome",)
 _APP_OPTIONAL_COLUMNS = ("fault_spec",)
 _APP_OPTIONAL_DEFAULTS = {"fault_spec": DEFAULT_FAULT_SPEC}
+_APP_CODEC = CsvCodec(_APP_COLUMN_DTYPES, _APP_OPTIONAL_COLUMNS, terminator="\n")
 
 
 @dataclass
 class AppTrialRecords:
     """Columnar app-campaign trial results with CSV round-tripping.
 
-    Mirrors :class:`repro.inject.results.TrialRecords` byte-for-byte in
-    framing (schema comment, header, ``repr`` float serialization) but
-    carries the solver outcome taxonomy instead of value-error metrics.
+    Shares the CSV codec of :class:`repro.inject.results.TrialRecords`
+    (:mod:`repro.inject.csvcodec`) but carries the solver outcome
+    taxonomy instead of value-error metrics, and ends lines with ``\\n``.
     """
 
     trial: np.ndarray
@@ -362,19 +356,11 @@ class AppTrialRecords:
 
     @classmethod
     def empty(cls) -> "AppTrialRecords":
-        return cls(
-            trial=np.empty(0, dtype=np.int64),
-            cell=np.empty(0, dtype=np.int64),
-            iteration=np.empty(0, dtype=np.int64),
-            bit=np.empty(0, dtype=np.int64),
-            index=np.empty(0, dtype=np.int64),
-            clean_iterations=np.empty(0, dtype=np.int64),
-            faulty_iterations=np.empty(0, dtype=np.int64),
-            converged=np.empty(0, dtype=bool),
-            diverged=np.empty(0, dtype=bool),
-            solution_error=np.empty(0, dtype=np.float64),
-            outcome=np.empty(0, dtype="<U16"),
-        )
+        return cls(**{
+            name: np.empty(0, dtype=dtype)
+            for name, dtype in _APP_COLUMN_DTYPES.items()
+            if name not in _APP_OPTIONAL_COLUMNS
+        })
 
     @classmethod
     def concatenate(cls, parts: Sequence["AppTrialRecords"]) -> "AppTrialRecords":
@@ -420,73 +406,26 @@ class AppTrialRecords:
             if name not in _APP_OPTIONAL_COLUMNS or getattr(self, name) is not None
         ]
 
-    def _write_csv_handle(self, handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"# schema_version={CSV_SCHEMA_VERSION}"])
-        names = self._active_columns()
-        writer.writerow(names)
-        columns = [getattr(self, name) for name in names]
-        for row in zip(*columns):
-            writer.writerow([
-                repr(float(value))
-                if isinstance(value, (float, np.floating))
-                else (
-                    str(value)
-                    if isinstance(value, (str, np.str_))
-                    else int(value)
-                )
-                for value in row
-            ])
-
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as handle:
-            self._write_csv_handle(handle)
+            handle.write(self.to_csv_string())
 
     def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv_handle(buffer)
-        return buffer.getvalue()
+        names = self._active_columns()
+        return _APP_CODEC.format(names, [getattr(self, name) for name in names])
 
-    @classmethod
-    def _read_csv_handle(cls, handle: IO[str]) -> "AppTrialRecords":
-        reader = csv.reader(handle)
-        rows = list(reader)
-        if rows and rows[0] and rows[0][0].startswith("# schema_version="):
-            rows = rows[1:]
-        if not rows:
-            return cls.empty()
-        header, data = rows[0], rows[1:]
-        required = [n for n in cls.column_names() if n not in _APP_OPTIONAL_COLUMNS]
-        valid_headers = [required]
-        for count in range(1, len(_APP_OPTIONAL_COLUMNS) + 1):
-            valid_headers.append(required + list(_APP_OPTIONAL_COLUMNS[:count]))
-        if header not in valid_headers:
-            raise ValueError(f"unexpected app-campaign CSV header: {header}")
-        columns: dict[str, np.ndarray | None] = {
-            name: None for name in _APP_OPTIONAL_COLUMNS
-        }
-        for position, name in enumerate(header):
-            raw = [row[position] for row in data]
-            if name in _APP_INT_COLUMNS:
-                columns[name] = np.array(raw, dtype=np.int64)
-            elif name in _APP_BOOL_COLUMNS:
-                columns[name] = np.array([bool(int(v)) for v in raw], dtype=bool)
-            elif name in _APP_STR_COLUMNS:
-                columns[name] = np.array(raw, dtype="<U16")
-            elif name in _APP_OPTIONAL_COLUMNS:
-                columns[name] = np.array(raw, dtype="<U32")
-            else:
-                columns[name] = np.array(raw, dtype=np.float64)
-        return cls(**columns)
+    def to_csv_bytes(self) -> bytes:
+        """The exact bytes of a shard file, the ones its checksum covers."""
+        return self.to_csv_string().encode("utf-8")
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "AppTrialRecords":
         with open(path, newline="") as handle:
-            return cls._read_csv_handle(handle)
+            return cls.from_csv_string(handle.read())
 
     @classmethod
     def from_csv_string(cls, text: str) -> "AppTrialRecords":
-        return cls._read_csv_handle(io.StringIO(text))
+        return cls(**_APP_CODEC.parse(text))
 
 
 # ---------------------------------------------------------------------------

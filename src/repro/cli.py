@@ -132,20 +132,6 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _campaign_jobs(args) -> int | None:
-    """Merge --jobs with the deprecated --workers alias (None = auto)."""
-    if getattr(args, "workers", None) is not None:
-        import warnings
-
-        if args.jobs is not None:
-            raise SystemExit("error: pass either --jobs or --workers, not both")
-        warnings.warn(
-            "--workers is deprecated; use --jobs", DeprecationWarning, stacklevel=2
-        )
-        return args.workers
-    return args.jobs
-
-
 def _print_campaign_result(result, field: str, target: str, out: str | None) -> None:
     print(
         f"campaign: {result.trial_count} trials on {field} as "
@@ -262,7 +248,7 @@ def _cmd_app_campaign_run(args) -> int:
     result = run_app_campaign(
         config,
         target,
-        jobs=_campaign_jobs(args),
+        jobs=args.jobs,
         executor=args.executor,
         run_dir=args.run_dir,
         progress=args.progress,
@@ -301,7 +287,7 @@ def _cmd_campaign_run(args) -> int:
         args.target,
         config,
         label=args.field,
-        jobs=_campaign_jobs(args),
+        jobs=args.jobs,
         executor=args.executor,
         run_dir=args.run_dir,
         progress=args.progress,
@@ -343,7 +329,7 @@ def _cmd_campaign_resume(args) -> int:
             )
             return 1
     result = resume_campaign(
-        args.run_dir, jobs=_campaign_jobs(args), executor=args.executor,
+        args.run_dir, jobs=args.jobs, executor=args.executor,
         progress=args.progress,
         telemetry=True if args.profile else None,
         trace=True if args.trace else None,
@@ -833,7 +819,7 @@ def _cmd_suite(args) -> int:
         else:
             print(f"  [done] {field_key} x {target}: {campaign.trial_count} trials")
 
-    result = run_suite(config, args.out, workers=args.workers,
+    result = run_suite(config, args.out, workers=args.jobs,
                        resume=not args.no_resume, progress=progress)
     print(
         f"suite: {len(result.completed)} campaigns run, "
@@ -1000,8 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: single)")
     pr.add_argument("--jobs", type=_jobs_arg, default=None,
                     help="worker processes (default: auto-size to CPUs)")
-    pr.add_argument("--workers", type=_jobs_arg, default=None,
-                    help=argparse.SUPPRESS)  # deprecated alias for --jobs
     pr.add_argument("--executor", choices=("serial", "pool", "work-stealing"),
                     default=None,
                     help="execution mechanism (default: serial or pool "
@@ -1031,8 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "comes from the manifest)")
     pres.add_argument("--jobs", type=_jobs_arg, default=None,
                       help="worker processes (default: auto-size to CPUs)")
-    pres.add_argument("--workers", type=_jobs_arg, default=None,
-                      help=argparse.SUPPRESS)
     pres.add_argument("--executor", choices=("serial", "pool", "work-stealing"),
                       default=None,
                       help="execution mechanism (default: serial or pool "
@@ -1290,7 +1272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1 << 17)
     p.add_argument("--trials", type=int, default=313)
     p.add_argument("--seed", type=int, default=2023)
-    p.add_argument("--workers", type=_jobs_arg, default=None)
+    p.add_argument("--jobs", type=_jobs_arg, default=None,
+                   help="worker processes (default: auto-size to CPUs)")
     p.add_argument("--no-resume", action="store_true",
                    help="re-run campaigns even when logs exist")
     p.set_defaults(func=_cmd_suite)

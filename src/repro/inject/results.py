@@ -8,31 +8,22 @@ merge, filter, and aggregate.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-#: Column order of the CSV schema, version-stamped for forward compat.
-CSV_SCHEMA_VERSION = 1
+from repro.inject.csvcodec import CsvCodec
 
-_FLOAT_COLUMNS = (
-    "original",
-    "faulty",
-    "abs_err",
-    "rel_err",
-    "range_rel_err",
-    "mse",
-    "faulty_mean",
-    "faulty_std",
-    "faulty_max",
-    "faulty_min",
+#: Column -> dtype, in CSV (and field) order.
+_I, _F = np.int64, np.float64
+_COLUMN_DTYPES = dict(
+    trial=_I, bit=_I, index=_I, original=_F, faulty=_F, field=_I, regime_k=_I,
+    abs_err=_F, rel_err=_F, range_rel_err=_F, mse=_F,
+    faulty_mean=_F, faulty_std=_F, faulty_max=_F, faulty_min=_F,
+    non_finite=bool, fault_spec="<U32",
 )
-_INT_COLUMNS = ("trial", "bit", "index", "field", "regime_k")
-_BOOL_COLUMNS = ("non_finite",)
 
 #: Optional per-row columns: present only when a campaign needs them
 #: (``fault_spec`` appears on non-``single`` fault models), so default
@@ -41,6 +32,8 @@ _OPTIONAL_COLUMNS = ("fault_spec",)
 
 #: What an absent optional column means when merging with one present.
 _OPTIONAL_DEFAULTS = {"fault_spec": "single"}
+
+_CODEC = CsvCodec(_COLUMN_DTYPES, _OPTIONAL_COLUMNS, terminator="\r\n")
 
 
 @dataclass
@@ -106,14 +99,11 @@ class TrialRecords:
 
     @classmethod
     def empty(cls) -> "TrialRecords":
-        kwargs = {}
-        for name in _INT_COLUMNS:
-            kwargs[name] = np.empty(0, dtype=np.int64)
-        for name in _FLOAT_COLUMNS:
-            kwargs[name] = np.empty(0, dtype=np.float64)
-        for name in _BOOL_COLUMNS:
-            kwargs[name] = np.empty(0, dtype=bool)
-        return cls(**kwargs)
+        return cls(**{
+            name: np.empty(0, dtype=dtype)
+            for name, dtype in _COLUMN_DTYPES.items()
+            if name not in _OPTIONAL_COLUMNS
+        })
 
     @classmethod
     def concatenate(cls, parts: list["TrialRecords"]) -> "TrialRecords":
@@ -175,73 +165,22 @@ class TrialRecords:
     def write_csv(self, path: str | os.PathLike) -> None:
         """Write the paper-style CSV log."""
         with open(Path(path), "w", newline="") as handle:
-            self._write_csv_handle(handle)
+            handle.write(self.to_csv_string())
 
     def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv_handle(buffer)
-        return buffer.getvalue()
-
-    def _write_csv_handle(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow([f"# schema_version={CSV_SCHEMA_VERSION}"])
         names = self.column_names()
-        writer.writerow(names)
-        columns = [getattr(self, name) for name in names]
-        for row in zip(*columns):
-            writer.writerow(
-                [
-                    repr(float(v))
-                    if isinstance(v, (float, np.floating))
-                    else (str(v) if isinstance(v, (str, np.str_)) else int(v))
-                    for v in row
-                ]
-            )
+        return _CODEC.format(names, [getattr(self, name) for name in names])
+
+    def to_csv_bytes(self) -> bytes:
+        """The exact bytes of a shard file, the ones its checksum covers."""
+        return self.to_csv_string().encode("utf-8")
 
     @classmethod
     def read_csv(cls, path: str | os.PathLike) -> "TrialRecords":
         """Read a log written by :meth:`write_csv`."""
         with open(Path(path), newline="") as handle:
-            return cls._read_csv_handle(handle)
+            return cls.from_csv_string(handle.read())
 
     @classmethod
     def from_csv_string(cls, text: str) -> "TrialRecords":
-        return cls._read_csv_handle(io.StringIO(text))
-
-    @classmethod
-    def _read_csv_handle(cls, handle) -> "TrialRecords":
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
-            raise ValueError("empty CSV")
-        if first and first[0].startswith("# schema_version="):
-            header = next(reader, None)
-        else:
-            header = first
-        if header is None:
-            raise ValueError("CSV missing header row")
-        required = [
-            column.name
-            for column in dataclass_fields(cls)
-            if column.name not in _OPTIONAL_COLUMNS
-        ]
-        # Optional columns append in declaration order; a file carries a
-        # prefix of them (today: none, or fault_spec).
-        variants = [required]
-        for name in _OPTIONAL_COLUMNS:
-            variants.append(variants[-1] + [name])
-        if header not in variants:
-            raise ValueError(f"CSV columns {header} do not match schema {required}")
-        rows = list(reader)
-        kwargs = {name: None for name in _OPTIONAL_COLUMNS}
-        for position, name in enumerate(header):
-            raw = [row[position] for row in rows]
-            if name in _INT_COLUMNS:
-                kwargs[name] = np.array([int(v) for v in raw], dtype=np.int64)
-            elif name in _BOOL_COLUMNS:
-                kwargs[name] = np.array([bool(int(v)) for v in raw], dtype=bool)
-            elif name in _OPTIONAL_COLUMNS:
-                kwargs[name] = np.array(raw, dtype="<U32")
-            else:
-                kwargs[name] = np.array([float(v) for v in raw], dtype=np.float64)
-        return cls(**kwargs)
+        return cls(**_CODEC.parse(text))

@@ -732,7 +732,7 @@ class CampaignRunner:
         # disk, write to a temp file, then rename into place.  A kill at
         # any instant leaves either no shard file or a complete one whose
         # checksum the manifest vouches for — never a torn write.
-        payload = records.to_csv_string().encode("utf-8")
+        payload = records.to_csv_bytes()
         digest = hashlib.sha256(payload).hexdigest()
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(payload)

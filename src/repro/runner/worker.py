@@ -98,7 +98,7 @@ def persist_shard_file(run_dir, bit: int, records: TrialRecords) -> str:
     """
     path = RunManifest.shard_path(run_dir, bit)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = records.to_csv_string().encode("utf-8")
+    payload = records.to_csv_bytes()
     digest = hashlib.sha256(payload).hexdigest()
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     tmp.write_bytes(payload)

@@ -136,6 +136,36 @@ class TestArtifactFaults:
         assert any(quarantine_dir(run_dir).iterdir())
         assert "shard_quarantined" in event_kinds(run_dir)
 
+    @pytest.mark.parametrize("damage", ["float-in-int", "missing-cell", "truncated-row"])
+    def test_malformed_content_without_checksum_is_caught(
+        self, chaos_field, chaos_config, fault_free, tmp_path, damage
+    ):
+        # No checksum vouches for the shard, so only the reader's
+        # strictness stands between the bad bytes and the result.
+        run_dir = tmp_path / damage
+        run_campaign(chaos_field, "posit8", chaos_config, run_dir=run_dir)
+        manifest = RunManifest.load(run_dir)
+        manifest.shards[2].checksum = None
+        manifest.write(run_dir)
+        shard = RunManifest.shard_path(run_dir, 2)
+        schema, header, first, *rows = shard.read_bytes().split(b"\r\n")
+        if damage == "float-in-int":
+            first = b"0.5" + first[first.index(b","):]
+        elif damage == "missing-cell":
+            first = first[first.index(b",") + 1:]
+        else:
+            rows = rows[:-2] + [rows[-2][: len(rows[-2]) // 2]]
+        shard.write_bytes(b"\r\n".join([schema, header, first, *rows]))
+
+        report = verify_run(run_dir)
+        assert [f.check for f in report.errors] == ["shard-content"]
+
+        resumed = resume_campaign(run_dir, chaos_field)
+        assert_records_identical(resumed.records, fault_free.records)
+        assert len(list(quarantine_dir(run_dir).iterdir())) == 1
+        assert RunManifest.load(run_dir).shards[2].checksum is not None
+        assert not verify_run(run_dir).errors
+
     def test_corrupt_manifest_fails_loudly_on_resume(
         self, chaos_field, chaos_config, tmp_path
     ):

@@ -67,7 +67,7 @@ class TestCampaign:
     def test_prints_aggregate(self, capsys):
         code = main([
             "campaign", "run", "cesm/cloud", "posit32",
-            "--size", "4096", "--trials", "4", "--workers", "1",
+            "--size", "4096", "--trials", "4", "--jobs", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -80,7 +80,7 @@ class TestCampaign:
         with pytest.raises(SystemExit) as exc:
             main([
                 "campaign", "cesm/cloud", "posit32",
-                "--size", "2048", "--trials", "2", "--workers", "1",
+                "--size", "2048", "--trials", "2", "--jobs", "1",
             ])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
@@ -89,7 +89,7 @@ class TestCampaign:
         out_path = tmp_path / "trials.csv"
         code = main([
             "campaign", "run", "cesm/cloud", "ieee32",
-            "--size", "4096", "--trials", "3", "--workers", "1",
+            "--size", "4096", "--trials", "3", "--jobs", "1",
             "--out", str(out_path),
         ])
         assert code == 0
@@ -121,23 +121,26 @@ class TestCampaignRunCommand:
         assert "must be an integer" in capsys.readouterr().err
 
     def test_rejects_jobs_and_workers_together(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main([
                 "campaign", "run", "cesm/cloud", "posit32",
                 "--size", "1024", "--trials", "1", "--jobs", "1", "--workers", "1",
             ])
+        assert excinfo.value.code == 2
 
-    def test_workers_alias_warns(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            code = main([
+    def test_workers_is_rejected(self, capsys):
+        # The deprecated --workers alias is gone; --jobs is the only spelling.
+        with pytest.raises(SystemExit) as excinfo:
+            main([
                 "campaign", "run", "cesm/cloud", "posit32",
                 "--size", "1024", "--trials", "1", "--workers", "1",
             ])
-        assert code == 0
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
-    def test_suite_rejects_bad_workers(self, capsys):
+    def test_suite_rejects_bad_jobs(self, capsys):
         with pytest.raises(SystemExit):
-            main(["suite", "--workers", "-2"])
+            main(["suite", "--jobs", "-2"])
         assert "jobs must be >= 1" in capsys.readouterr().err
 
 
@@ -223,7 +226,7 @@ class TestSuiteCommand:
 
         args = [
             "suite", "--out", str(tmp_path), "--fields", "cesm/cloud",
-            "--size", "1024", "--trials", "2", "--workers", "1",
+            "--size", "1024", "--trials", "2", "--jobs", "1",
         ]
         assert cli_main(args) == 0
         out = capsys.readouterr().out
