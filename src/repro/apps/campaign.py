@@ -31,7 +31,6 @@ cell byte-identically.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
@@ -569,8 +568,8 @@ class AppCampaignRunner(CampaignRunner):
     """Campaign runner whose shards are app (iteration, bit) cells.
 
     Inherits persistence, resume, executors, chaos hardening, and
-    observability wholesale; only planning, shard compute, and manifest
-    identity differ.
+    observability wholesale; only planning and manifest identity differ
+    (the runner's shard kernel dispatches on :attr:`app_config`).
     """
 
     records_class = AppTrialRecords
@@ -602,13 +601,6 @@ class AppCampaignRunner(CampaignRunner):
         manifest = super()._fresh_manifest(shards)
         manifest.app = self.app_config.manifest_payload()
         return manifest
-
-    def _compute_shard(self, spec: ShardSpec):
-        start = time.perf_counter()
-        records = run_app_shard(
-            self.app_config, self.target, spec.bit, spec.trials, spec.seed
-        )
-        return records, time.perf_counter() - start
 
     @classmethod
     def from_run_dir(cls, run_dir, data=None, **kwargs) -> "AppCampaignRunner":

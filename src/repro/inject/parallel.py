@@ -1,20 +1,17 @@
-"""Worker-pool plumbing for parallel campaign execution.
+"""Worker counts for parallel campaign execution.
 
 The paper runs per-field campaigns "in parallel across different compute
 nodes in a cluster" (MPI-style scatter of independent work).  Without a
-cluster, the same structure maps onto a process pool: the unit of work
+cluster, the same structure maps onto worker processes: the unit of work
 is one bit position's shard of trials, seeds are pre-spawned per bit (so
 the parallel result is bit-identical to the serial one, regardless of
 worker count or scheduling), and shards are gathered and concatenated in
 bit order.
 
-The public entry point moved to the unified
-:func:`repro.inject.campaign.run_campaign` (``jobs=N``), executed by
-:class:`repro.runner.CampaignRunner` through its
-:class:`repro.runner.executors.PoolExecutor`; this module keeps what the
-pool needs — the fork initializer that shares the dataset with workers
-through a module global (avoiding a per-task pickle of the array),
-spec-string target rehydration, and worker-count resolution.  (The
+The entry point is :func:`repro.inject.campaign.run_campaign`
+(``jobs=N``), executed by :class:`repro.runner.CampaignRunner`; the
+executors and their fork plumbing live in :mod:`repro.runner.executors`.
+This module validates and resolves the ``jobs`` worker count.  (The
 long-deprecated ``run_campaign_parallel`` wrapper has been removed; call
 ``run_campaign(..., jobs=N)``.)
 """
@@ -22,140 +19,9 @@ long-deprecated ``run_campaign_parallel`` wrapper has been removed; call
 from __future__ import annotations
 
 import os
-import signal
-import time
 import warnings
 
 import numpy as np
-
-from repro.formats import resolve
-from repro.inject.campaign import run_campaign_shard
-from repro.inject.results import TrialRecords
-from repro.metrics.summary import SummaryStats
-from repro.telemetry import DISABLED, Telemetry, TelemetrySnapshot, telemetry_scope
-from repro.telemetry.core import _reset_process_stack
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(
-    stored_data: np.ndarray,
-    target_spec: str,
-    baseline: SummaryStats,
-    telemetry_enabled: bool = False,
-    chaos=None,
-    heartbeat=None,
-    fault_spec: str = "single",
-    app=None,
-) -> None:
-    # Targets cross the pool boundary as spec strings, not pickles:
-    # every format's name is a valid spec (posit16es1, binary(8,23),
-    # fixedposit(32,es=2,r=5), ...), so arbitrary parameterized formats
-    # rehydrate in workers — and each worker rebuilds its own codec
-    # tables instead of shipping them.
-    _WORKER_STATE["data"] = stored_data
-    _WORKER_STATE["target"] = resolve(target_spec)
-    _WORKER_STATE["baseline"] = baseline
-    _WORKER_STATE["telemetry"] = bool(telemetry_enabled)
-    # Chaos fault plan (repro.chaos.FaultPlan) and the heartbeat queue:
-    # workers announce claiming/finishing a shard so the parent can tell
-    # a hung or dead worker from a queued task and kill + requeue it.
-    _WORKER_STATE["chaos"] = chaos
-    _WORKER_STATE["heartbeat"] = heartbeat
-    # Fault-model spec crosses the boundary as its canonical string, same
-    # as the target: resolved per shard in run_campaign_shard.
-    _WORKER_STATE["fault"] = fault_spec
-    # App-campaign config (repro.apps.campaign.AppCampaignConfig) when
-    # shards are (iteration, bit) solver cells; None for value campaigns.
-    _WORKER_STATE["app"] = app
-    # The fork copied the parent's SIGTERM handler (the runner converts
-    # SIGTERM to a checkpointing interrupt); in a worker that handler
-    # would make Pool.terminate() raise instead of exit and the shutdown
-    # would deadlock.  Workers die on SIGTERM like normal processes.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # The fork inherited the parent's active collector; recording into it
-    # from this process would be silently lost.  Profiled shards collect
-    # into a per-task collector in _run_shard_timed and ship snapshots.
-    _reset_process_stack(DISABLED)
-
-
-def _unpack_task(args) -> tuple[int, int, np.random.SeedSequence, int]:
-    """Task args with the 0-based attempt (legacy 3-tuples mean attempt 0)."""
-    if len(args) == 3:
-        bit, trials, seed = args
-        return bit, trials, seed, 0
-    return args
-
-
-def _ping(kind: str, bit: int, attempt: int) -> None:
-    """Best-effort heartbeat; a dying queue must not fail the shard.
-
-    The queue is a ``SimpleQueue``, so ``put`` writes the pipe before
-    returning — a worker that crashes immediately after claiming has
-    still told the parent which shard it took.
-    """
-    heartbeat = _WORKER_STATE.get("heartbeat")
-    if heartbeat is None:
-        return
-    try:
-        heartbeat.put((kind, os.getpid(), bit, attempt))
-    except Exception:
-        pass
-
-
-def _run_shard(args) -> TrialRecords:
-    bit, trials, seed, _attempt = _unpack_task(args)
-    app = _WORKER_STATE.get("app")
-    if app is not None:
-        from repro.apps.campaign import run_app_shard
-
-        return run_app_shard(app, _WORKER_STATE["target"], bit, trials, seed)
-    return run_campaign_shard(
-        _WORKER_STATE["data"],
-        _WORKER_STATE["target"],
-        bit,
-        trials,
-        seed,
-        _WORKER_STATE["baseline"],
-        fault_spec=_WORKER_STATE.get("fault", "single"),
-    )
-
-
-def _run_shard_timed(args) -> tuple[TrialRecords, float, TelemetrySnapshot | None]:
-    """Pool task: a shard, its compute time, and its telemetry delta.
-
-    When the runner profiles, each task records into a private collector
-    and ships the frozen snapshot back with the records; the runner
-    merges the deltas shard by shard (same discipline as the streaming
-    metric accumulators), so the reduced totals are identical to a
-    serial run regardless of worker count or scheduling.
-
-    Heartbeats: the task pings "claim" before computing and "done" after,
-    so the parent can distinguish a queued task (no claim yet — never
-    timed out) from a claimed one whose worker crashed or hung (claim
-    then silence — killed and requeued).  Chaos compute faults fire
-    after the claim ping, so even an injected crash leaves the trace a
-    real one would.
-    """
-    bit, trials, seed, attempt = _unpack_task(args)
-    _ping("claim", bit, attempt)
-    plan = _WORKER_STATE.get("chaos")
-    if plan is not None:
-        from repro.chaos import fire_compute_faults
-
-        fire_compute_faults(plan, bit, attempt)
-    start = time.perf_counter()
-    if _WORKER_STATE.get("telemetry"):
-        collector = Telemetry()
-        with telemetry_scope(collector):
-            records = _run_shard(args)
-        snapshot = collector.snapshot()
-    else:
-        records = _run_shard(args)
-        snapshot = None
-    elapsed = time.perf_counter() - start
-    _ping("done", bit, attempt)
-    return records, elapsed, snapshot
 
 
 def default_worker_count(shard_count: int | None = None) -> int:

@@ -18,11 +18,14 @@ computed is mechanism, and this module owns it behind one interface:
     and is stolen.
 
 Executors see the run only through an :class:`ExecutionContext` — a
-narrow facade over the runner that exposes what mechanism needs (shard
-compute, completion accounting, event emission, budgets) and nothing
-else.  All three produce bit-identical results for a fixed seed because
-the per-bit ``SeedSequence.spawn`` streams make shard results
-independent of scheduling.
+narrow facade over the runner that exposes what mechanism needs (the
+run's :class:`repro.runner.worker.ShardKernel`, completion accounting,
+event emission, budgets) and nothing else.  Every executor computes
+through that one kernel, and every in-process retry goes through
+:func:`repro.runner.worker.compute_with_retries`.  All three produce
+bit-identical results for a fixed seed because the per-bit
+``SeedSequence.spawn`` streams make shard results independent of
+scheduling.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from repro.runner.leases import (
     try_claim,
     write_done_record,
 )
+from repro.runner.worker import ShardWorker, compute_with_retries
+from repro.telemetry import DISABLED, Telemetry, telemetry_scope
+from repro.telemetry.core import _reset_process_stack
 
 
 def _pid_alive(pid: int) -> bool:
@@ -58,11 +64,10 @@ def _pid_alive(pid: int) -> bool:
 class ExecutionContext:
     """What an executor may see and do during one run.
 
-    Bound to a live :class:`CampaignRunner`; attribute reads delegate so
-    test seams (e.g. monkeypatching ``CampaignRunner._compute_shard``)
-    keep working, and completion accounting flows through the runner's
-    persistence path (atomic shard writes, checksums, manifest updates,
-    events) no matter which executor drives it.
+    Bound to a live :class:`CampaignRunner`; attribute reads delegate,
+    and completion accounting flows through the runner's persistence
+    path (atomic shard writes, checksums, manifest updates, events) no
+    matter which executor drives it.
     """
 
     def __init__(self, runner, hooks, shards_total: int, trials_total: int):
@@ -82,26 +87,9 @@ class ExecutionContext:
         return self._runner._effective_jobs
 
     @property
-    def stored(self):
-        return self._runner.stored
-
-    @property
-    def target(self):
-        return self._runner.target
-
-    @property
-    def baseline(self):
-        return self._runner.baseline
-
-    @property
-    def fault_spec(self) -> str:
-        """Canonical fault-model spec of this run (``single`` by default)."""
-        return self._runner.config.fault
-
-    @property
-    def app(self):
-        """App-campaign config when shards are solver cells, else ``None``."""
-        return getattr(self._runner, "app_config", None)
+    def kernel(self):
+        """The run's :class:`repro.runner.worker.ShardKernel`."""
+        return self._runner.kernel
 
     @property
     def max_retries(self) -> int:
@@ -110,10 +98,6 @@ class ExecutionContext:
     @property
     def retry_backoff(self) -> float:
         return self._runner.retry_backoff
-
-    @property
-    def shard_timeout(self) -> float | None:
-        return self._runner.shard_timeout
 
     @property
     def heartbeat_timeout(self) -> float | None:
@@ -134,9 +118,13 @@ class ExecutionContext:
 
     # -- actions ------------------------------------------------------------
 
-    def compute(self, spec):
-        """Compute one shard in-process: ``(records, duration)``."""
-        return self._runner._compute_shard(spec)
+    def compute_with_retries(self, spec):
+        """Compute one shard in-process through the shared retry loop."""
+        return compute_with_retries(
+            self.kernel, spec.bit, spec.trials, spec.seed, emit=self.emit,
+            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
+            chaos=self.chaos,
+        )
 
     def finish(self, spec, records, duration: float, attempts: int) -> None:
         """Account a locally computed shard: persist, checksum, emit."""
@@ -164,19 +152,20 @@ class ExecutionContext:
             **kwargs,
         )
 
-    def note_retry(self) -> None:
-        self._runner._retry_count += 1
-
     def note_hung(self) -> None:
         self._runner._hung_count += 1
 
-    def fire_compute_chaos(self, bit: int, attempt: int) -> None:
-        """In-process chaos compute faults (serial/coordinator path)."""
-        if self.chaos is None:
-            return
-        from repro.chaos import fire_compute_faults
 
-        fire_compute_faults(self.chaos, bit, attempt)
+def _reset_forked_child() -> None:
+    """Undo what a fork copied from the runner into a worker child.
+
+    The runner's SIGTERM handler raises a checkpointing interrupt; in a
+    child it would make ``Pool.terminate()`` raise instead of exit and
+    deadlock the shutdown.  Records into the inherited active telemetry
+    collector would be silently lost; profiled children use their own.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _reset_process_stack(DISABLED)
 
 
 class Executor:
@@ -202,25 +191,55 @@ class SerialExecutor(Executor):
     def execute(self, pending, ctx: ExecutionContext) -> None:
         for spec in pending:
             ctx.emit("shard_start", bit=spec.bit)
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    ctx.fire_compute_chaos(spec.bit, attempts - 1)
-                    records, duration = ctx.compute(spec)
-                    break
-                except Exception as error:
-                    ctx.emit("shard_error", bit=spec.bit, attempt=attempts - 1,
-                             error=repr(error))
-                    if attempts > ctx.max_retries:
-                        raise RunnerError(
-                            f"shard for bit {spec.bit} failed after {attempts} attempt(s)"
-                        ) from error
-                    ctx.note_retry()
-                    time.sleep(ctx.retry_backoff * (2 ** (attempts - 1)))
-                    ctx.emit("shard_retry", bit=spec.bit, attempt=attempts,
-                             error=repr(error))
-            ctx.finish(spec, records, duration, attempts)
+            ctx.finish(spec, *ctx.compute_with_retries(spec))
+
+
+#: A pool child's ``(kernel, chaos plan, heartbeat queue, profiled)``,
+#: set by :func:`_init_pool_child`; the fork carries the kernel across.
+_pool_child: tuple | None = None
+
+
+def _init_pool_child(kernel, chaos, heartbeats, profiled: bool) -> None:
+    global _pool_child
+    _reset_forked_child()
+    _pool_child = (kernel, chaos, heartbeats, profiled)
+
+
+def _ping(heartbeats, kind: str, bit: int, attempt: int) -> None:
+    """Best-effort heartbeat; a dying queue must not fail the shard."""
+    try:
+        heartbeats.put((kind, os.getpid(), bit, attempt))
+    except Exception:
+        pass
+
+
+def _pool_task(task):
+    """Pool task: a shard, its compute time, and its telemetry delta.
+
+    Pings "claim" before computing and "done" after, so the parent can
+    tell a queued task (never timed out) from a claimed one whose worker
+    crashed or hung (killed and requeued).  Chaos compute faults fire
+    after the claim, so an injected crash leaves the trace a real one
+    would.  A profiled shard records into a private collector whose
+    snapshot the runner merges shard by shard, so totals match serial.
+    """
+    kernel, chaos, heartbeats, profiled = _pool_child
+    bit, trials, seed, attempt = task
+    _ping(heartbeats, "claim", bit, attempt)
+    if chaos is not None:
+        from repro.chaos import fire_compute_faults
+
+        fire_compute_faults(chaos, bit, attempt)
+    snapshot = None
+    if profiled:
+        collector = Telemetry()
+        with telemetry_scope(collector):
+            records, seconds = kernel.compute(bit, trials, seed)
+        snapshot = collector.snapshot()
+    else:
+        records, seconds = kernel.compute(bit, trials, seed)
+    _ping(heartbeats, "done", bit, attempt)
+    return records, seconds, snapshot
 
 
 class _ShardRun:
@@ -245,9 +264,9 @@ class PoolExecutor(Executor):
     distinguish three states a blocking design conflates: queued (no
     claim — never times out), computing (claimed, worker alive, within
     budget), and lost (worker dead, or claimed longer than
-    ``heartbeat_timeout`` / ``shard_timeout``).  Lost shards get their
-    worker SIGKILLed and re-enter the normal retry path, so a crashed
-    or hung worker costs one retry, not the run.
+    ``heartbeat_timeout``).  Lost shards get their worker SIGKILLed and
+    re-enter the normal retry path, so a crashed or hung worker costs
+    one retry, not the run.
     """
 
     name = "pool"
@@ -264,11 +283,9 @@ class PoolExecutor(Executor):
         return True
 
     def execute(self, pending, ctx: ExecutionContext) -> None:
-        from repro.inject.parallel import _init_worker, _run_shard_timed
-
         context = multiprocessing.get_context("fork")
-        # Created unconditionally: workers ping "claim"/"done" through it
-        # (inherited across the fork via the pool initializer args).  A
+        # Workers ping "claim"/"done" through it (inherited across the
+        # fork via the pool initializer args, like the kernel).  A
         # SimpleQueue, not a Queue: its put() writes the pipe
         # synchronously, so a worker that crashes (os._exit) right after
         # claiming has still delivered the claim — a buffered Queue's
@@ -288,8 +305,7 @@ class PoolExecutor(Executor):
             # The attempt id rides along so pings from a killed earlier
             # attempt cannot be mistaken for the live one.
             run.future = pool.apply_async(
-                _run_shard_timed,
-                ((spec.bit, spec.trials, spec.seed, run.failures),),
+                _pool_task, ((spec.bit, spec.trials, spec.seed, run.failures),),
             )
 
         def fallback(bit: int) -> None:
@@ -298,8 +314,9 @@ class PoolExecutor(Executor):
             run = runs.pop(bit)
             ctx.emit("shard_fallback", bit=bit, attempt=run.failures,
                      error="pool execution failed; running in-process")
-            records, duration = ctx.compute(specs[bit])
-            ctx.finish(specs[bit], records, duration, run.failures + 1)
+            spec = specs[bit]
+            records, duration = ctx.kernel.compute(spec.bit, spec.trials, spec.seed)
+            ctx.finish(spec, records, duration, run.failures + 1)
 
         def fail(bit: int, error: BaseException) -> None:
             nonlocal pool_broken
@@ -311,7 +328,6 @@ class PoolExecutor(Executor):
             if run.failures > ctx.max_retries:
                 fallback(bit)
                 return
-            ctx.note_retry()
             time.sleep(ctx.retry_backoff * (2 ** (run.failures - 1)))
             try:
                 submit(bit)
@@ -353,9 +369,6 @@ class PoolExecutor(Executor):
                         and age > ctx.heartbeat_timeout):
                     reason = (f"claimed {age:.1f}s ago with no completion "
                               f"(heartbeat_timeout={ctx.heartbeat_timeout:g}s)")
-                elif ctx.shard_timeout is not None and age > ctx.shard_timeout:
-                    reason = (f"running {age:.1f}s "
-                              f"(shard_timeout={ctx.shard_timeout:g}s)")
                 if reason is None:
                     continue
                 ctx.note_hung()
@@ -372,10 +385,9 @@ class PoolExecutor(Executor):
         try:
             with context.Pool(
                 processes=ctx.jobs,
-                initializer=_init_worker,
-                initargs=(ctx.stored, ctx.target.name, ctx.baseline,
-                          ctx.telemetry.enabled, ctx.chaos, heartbeats,
-                          ctx.fault_spec, ctx.app),
+                initializer=_init_pool_child,
+                initargs=(ctx.kernel, ctx.chaos, heartbeats,
+                          ctx.telemetry.enabled),
             ) as pool:
                 for spec in pending:
                     runs[spec.bit] = _ShardRun()
@@ -411,40 +423,18 @@ class PoolExecutor(Executor):
             heartbeats.close()
 
 
-def _work_stealing_child(run_dir, stored, target_spec, baseline, lease_timeout,
-                         poll_interval, chaos, telemetry_enabled=False,
-                         trace_enabled=False) -> None:
+def _work_stealing_child(worker_kwargs: dict) -> None:
     """Entry point of a forked in-run work-stealing worker.
 
-    The dataset arrives by fork copy-on-write (never pickled); the
-    target crosses as its spec string, same as pool workers.  SIGTERM
-    and the inherited telemetry collector are reset exactly like
-    :func:`repro.inject.parallel._init_worker` — the fork copied the
-    parent's checkpointing SIGTERM handler and active collector, and
-    neither belongs in a child.  When the parent profiles/traces, the
-    child gets its *own* collector (its snapshot lands beside its done
-    records for the merge-at-read path, never double-counted into the
-    parent's) and its own trace/metrics files.
+    The kernel arrives by fork copy-on-write (never pickled).  When the
+    parent profiles/traces, the child's :class:`ShardWorker` gets its
+    *own* collector (its snapshot lands beside its done records for the
+    merge-at-read path, never double-counted into the parent's) and its
+    own trace/metrics files.
     """
-    from repro.runner.worker import ShardWorker
-    from repro.telemetry import DISABLED
-    from repro.telemetry.core import _reset_process_stack
-
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _reset_process_stack(DISABLED)
+    _reset_forked_child()
     try:
-        ShardWorker(
-            run_dir,
-            stored=stored,
-            target=target_spec,
-            baseline=baseline,
-            lease_timeout=lease_timeout,
-            poll_interval=poll_interval,
-            chaos=chaos,
-            finalize=False,
-            telemetry=bool(telemetry_enabled),
-            trace=bool(trace_enabled),
-        ).run()
+        ShardWorker(**worker_kwargs).run()
     except Exception:
         # The child is expendable: the coordinator steals its leases and
         # recomputes anything it failed to deliver.  Exiting nonzero is
@@ -495,14 +485,16 @@ class WorkStealingExecutor(Executor):
         worker_id = default_worker_id() + "-coord"
         workers = self.workers if self.workers is not None else ctx.jobs
         context = multiprocessing.get_context("fork")
+        worker_kwargs = dict(
+            run_dir=run_dir, kernel=ctx.kernel,
+            lease_timeout=self.lease_timeout, poll_interval=self.poll_interval,
+            max_retries=ctx.max_retries, retry_backoff=ctx.retry_backoff,
+            chaos=ctx.chaos, finalize=False,
+            telemetry=ctx.telemetry.enabled, trace=ctx.trace_enabled,
+        )
         children = [
-            context.Process(
-                target=_work_stealing_child,
-                args=(run_dir, ctx.stored, ctx.target.name, ctx.baseline,
-                      self.lease_timeout, self.poll_interval, ctx.chaos,
-                      ctx.telemetry.enabled, ctx.trace_enabled),
-                daemon=True,
-            )
+            context.Process(target=_work_stealing_child, args=(worker_kwargs,),
+                            daemon=True)
             for _ in range(max(workers - 1, 0))
         ]
         for child in children:
@@ -560,9 +552,10 @@ class WorkStealingExecutor(Executor):
                                  error=f"lease of {lease.stolen_from} expired")
                     ctx.emit("shard_claimed", bit=bit, detail=detail)
                     try:
-                        records, duration, attempts = self._compute_with_retries(
-                            spec, ctx, lease
-                        )
+                        with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
+                            records, duration, attempts = ctx.compute_with_retries(
+                                spec
+                            )
                     except BaseException:
                         lease.release()
                         raise
@@ -585,28 +578,6 @@ class WorkStealingExecutor(Executor):
                 if child.is_alive():
                     child.terminate()
                     child.join(timeout=1.0)
-
-    def _compute_with_retries(self, spec, ctx: ExecutionContext, lease):
-        attempts = 0
-        with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
-            while True:
-                attempts += 1
-                try:
-                    ctx.fire_compute_chaos(spec.bit, attempts - 1)
-                    records, duration = ctx.compute(spec)
-                    return records, duration, attempts
-                except Exception as error:
-                    ctx.emit("shard_error", bit=spec.bit, attempt=attempts - 1,
-                             error=repr(error))
-                    if attempts > ctx.max_retries:
-                        raise RunnerError(
-                            f"shard for bit {spec.bit} failed after "
-                            f"{attempts} attempt(s)"
-                        ) from error
-                    ctx.note_retry()
-                    time.sleep(ctx.retry_backoff * (2 ** (attempts - 1)))
-                    ctx.emit("shard_retry", bit=spec.bit, attempt=attempts,
-                             error=repr(error))
 
 
 #: Executor registry: the ``--executor`` CLI choices and the

@@ -2,24 +2,28 @@
 
 A :class:`CampaignRunner` turns a campaign into a plan of per-bit
 :class:`ShardSpec` units (the same unit of work the paper scatters over
-cluster nodes), executes them serially or on a fork pool, and — when
-given a run directory — persists every completed shard plus a JSON
-manifest so an interrupted run can :meth:`resume` to a result
-bit-identical to an uninterrupted one.  Bit-identity is guaranteed by
-the campaign's seeding discipline: each bit's trial stream comes from an
-independent ``SeedSequence.spawn`` child, so shards can run in any
-order, any number of times, on any worker, and produce the same records.
+cluster nodes), builds one :class:`repro.runner.worker.ShardKernel` that
+computes any of them, hands the pending ones to an executor (serial,
+fork pool, or work-stealing), and — when given a run directory —
+persists every completed shard plus a JSON manifest so an interrupted
+run can :meth:`resume` to a result bit-identical to an uninterrupted
+one.  Bit-identity is guaranteed by the campaign's seeding discipline:
+each bit's trial stream comes from an independent ``SeedSequence.spawn``
+child, so shards can run in any order, any number of times, on any
+worker, and produce the same records.
 
-Failure handling: a shard that raises in a worker is retried with
-exponential backoff; if the pool itself breaks (or retries are
-exhausted), the shard degrades to in-process execution instead of
-losing the run.  Hardened paths (see ``docs/robustness.md``): shard
-files carry SHA-256 checksums verified on resume (corrupt files are
-quarantined, never trusted), pool workers heartbeat so a hung or dead
-worker is detected, killed, and its shard requeued, writes are atomic,
-and SIGTERM checkpoints like Ctrl-C.  A :class:`repro.chaos.FaultPlan`
-passed as ``chaos=`` injects infrastructure faults into all of this to
-prove the run either completes bit-identical or fails loudly.
+Failure handling: a shard that raises is retried with exponential
+backoff (in-process attempts all go through one loop,
+:func:`repro.runner.worker.compute_with_retries`); if the pool itself
+breaks (or its retries are exhausted), the shard degrades to in-process
+execution instead of losing the run. Hardened paths (see
+``docs/robustness.md``): shard files carry SHA-256 checksums verified on
+resume (corrupt files are quarantined, never trusted), pool workers
+heartbeat so a hung or dead worker is detected, killed, and its shard
+requeued, writes are atomic, and SIGTERM checkpoints like Ctrl-C. A
+:class:`repro.chaos.FaultPlan` passed as ``chaos=`` injects
+infrastructure faults into all of this to prove the run either completes
+bit-identical or fails loudly.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from repro.inject.campaign import (
     CampaignResult,
     bit_seeds,
     conversion_report,
-    run_campaign_shard,
 )
 from repro.inject.results import TrialRecords
 from repro.inject.trial import field_pipeline
@@ -74,6 +77,7 @@ from repro.runner.manifest import (
     quarantine_file,
     shard_checksum,
 )
+from repro.runner.worker import ShardKernel, fold_run
 from repro.telemetry import (
     MetricsSampler,
     MetricsWriter,
@@ -227,19 +231,18 @@ class CampaignRunner:
         letting ``campaign resume`` regenerate the data.
     max_retries:
         Extra attempts per failed shard before degrading/failing.
+        ``result.extras["shard_retries"]`` counts every attempt beyond
+        a shard's first, whichever process made it.
     retry_backoff:
         Base of the exponential backoff sleep between attempts.
-    shard_timeout:
-        Optional per-shard pool budget in seconds, measured from the
-        moment a worker claims the shard (queued shards never time out);
-        a shard exceeding it has its worker killed and is requeued
-        through the normal retry path.
     heartbeat_timeout:
-        Optional staleness limit in seconds for claimed shards.  Pool
-        workers heartbeat when they claim and finish a shard; a shard
-        claimed but unfinished for longer than this is treated as hung —
-        its worker is SIGKILLed and the shard requeued.  Dead workers
-        (crashes) are detected immediately regardless of this value.
+        Optional per-shard pool budget in seconds, measured from the
+        moment a worker claims the shard (queued shards never time
+        out).  Pool workers heartbeat when they claim and finish a
+        shard; a shard claimed but unfinished for longer than this is
+        treated as hung — its worker is SIGKILLed and the shard
+        requeued through the normal retry path.  Dead workers (crashes)
+        are detected immediately regardless of this value.
     chaos:
         Optional :class:`repro.chaos.FaultPlan` injecting infrastructure
         faults (worker crashes/hangs/raises, shard and manifest
@@ -289,7 +292,6 @@ class CampaignRunner:
         dataset: dict | None = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        shard_timeout: float | None = None,
         heartbeat_timeout: float | None = None,
         chaos=None,
         telemetry=None,
@@ -307,13 +309,10 @@ class CampaignRunner:
         self.dataset = dataset
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
             raise ValueError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
-        self.shard_timeout = shard_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.chaos = chaos
         self.telemetry = resolve_collector(telemetry)
@@ -334,6 +333,8 @@ class CampaignRunner:
             # (and every fork-pool worker) shares one encode and one
             # decode of the field instead of rebuilding per worker.
             field_pipeline(self.target, self.stored)
+        self.kernel = ShardKernel(self.stored, self.target, self.baseline,
+                                  self.config.fault, self.app_config)
 
         if hooks is None:
             hooks = []
@@ -617,8 +618,6 @@ class CampaignRunner:
             # the manifest first, so a resume restores (and verifies)
             # their shards instead of recomputing them.
             if read_done_records(self.run_dir):
-                from repro.runner.worker import fold_run
-
                 fold_run(self.run_dir)
             existing = RunManifest.load(self.run_dir)
             mismatches = fresh.mismatches(existing)
@@ -753,14 +752,6 @@ class CampaignRunner:
             return 1
         return resolve_worker_count(self.jobs, pending_count)
 
-    def _compute_shard(self, spec: ShardSpec) -> tuple[TrialRecords, float]:
-        start = time.perf_counter()
-        records = run_campaign_shard(
-            self.stored, self.target, spec.bit, spec.trials, spec.seed, self.baseline,
-            fault_spec=self.config.fault,
-        )
-        return records, time.perf_counter() - start
-
     def _finish_shard(self, spec: ShardSpec, records: TrialRecords, duration: float,
                       attempts: int, hooks, shards_total: int, trials_total: int) -> None:
         # Persist before announcing: a hook that raises (or a kill racing
@@ -770,6 +761,7 @@ class CampaignRunner:
         self._busy_time += duration
         self._trials_done += spec.trials
         self._shards_done += 1
+        self._retry_count += attempts - 1
         if self._tracer is not None:
             # Serial shards (and pool shards, whose anonymous workers
             # can't write their own files) land in the coordinator's
@@ -838,6 +830,7 @@ class CampaignRunner:
         self._busy_time += duration
         self._trials_done += spec.trials
         self._shards_done += 1
+        self._retry_count += attempts - 1
         self._emit(hooks, "shard_adopted", bit=spec.bit, attempt=attempts - 1,
                    shards_total=shards_total, trials_total=trials_total,
                    detail={"worker": record.get("worker"),

@@ -20,6 +20,7 @@ Workers never write the manifest during execution (concurrent
 read-modify-write would lose shards); :func:`fold_run` derives the
 manifest's shard states purely from the completion records, so folding
 is idempotent and any worker (or a later ``campaign resume``) can do it.
+Every executor computes through this module's :class:`ShardKernel`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.formats import resolve
+from repro.formats import NumberFormat, resolve
 from repro.inject.campaign import CampaignConfig, bit_seeds, run_campaign_shard
 from repro.inject.results import TrialRecords
 from repro.metrics.summary import SummaryStats
@@ -54,6 +55,7 @@ from repro.runner.manifest import (
     RUN_RUNNING,
     SHARD_COMPLETED,
     RunManifest,
+    dataset_fingerprint,
 )
 from repro.telemetry import (
     MetricsSampler,
@@ -115,6 +117,94 @@ def persist_shard_file(run_dir, bit: int, records: TrialRecords) -> str:
     return digest
 
 
+class ShardKernel:
+    """Everything needed to compute any shard of one campaign, anywhere.
+
+    Holds the round-tripped field, the target, the baseline stats, the
+    canonical fault spec and, for app campaigns, the
+    :class:`repro.apps.campaign.AppCampaignConfig`.  Every executor
+    computes through one kernel: the serial loop and the work-stealing
+    coordinator call it in-process, pool and work-stealing children
+    inherit it across the fork (never pickled), and a standalone
+    ``campaign worker`` rebuilds it with :meth:`from_manifest`.  Per-bit
+    seed streams make the records :meth:`compute` returns a pure
+    function of its arguments.
+    """
+
+    def __init__(self, stored: np.ndarray | None, target: NumberFormat,
+                 baseline: SummaryStats | None, fault_spec: str, app=None):
+        self.stored = stored
+        self.target = target
+        self.baseline = baseline
+        self.fault_spec = fault_spec
+        self.app = app
+
+    @classmethod
+    def from_manifest(cls, manifest: RunManifest) -> "ShardKernel":
+        """Rebuild a run's kernel from its manifest's recorded provenance."""
+        target = resolve(manifest.target_spec)
+        if manifest.app is not None:
+            # App cells replay the solve; they never read the field.
+            from repro.apps.campaign import AppCampaignConfig
+
+            app = AppCampaignConfig.from_manifest(manifest)
+            return cls(None, target, None, manifest.fault, app)
+        from repro.runner.runner import _regenerate_dataset
+
+        flat = np.asarray(_regenerate_dataset(manifest)).reshape(-1)
+        if dataset_fingerprint(flat) != manifest.data_fingerprint:
+            raise RunnerError("the dataset regenerated from the manifest's "
+                              "provenance does not match its recorded fingerprint")
+        stored = target.round_trip(flat)
+        return cls(stored, target, SummaryStats.from_array(stored), manifest.fault)
+
+    def compute(self, bit: int, trials: int, seed) -> tuple:
+        """Every trial of one shard, and the seconds computing it took."""
+        start = time.perf_counter()
+        if self.app is not None:
+            from repro.apps.campaign import run_app_shard
+
+            records = run_app_shard(self.app, self.target, bit, trials, seed)
+        else:
+            records = run_campaign_shard(
+                self.stored, self.target, bit, trials, seed, self.baseline,
+                fault_spec=self.fault_spec,
+            )
+        return records, time.perf_counter() - start
+
+
+def compute_with_retries(kernel: ShardKernel, bit: int, trials: int, seed, *,
+                         emit, max_retries: int, retry_backoff: float,
+                         chaos=None) -> tuple:
+    """Compute one shard in-process, retrying with exponential backoff.
+
+    The one synchronous retry loop: chaos compute faults fire before
+    each attempt, ``emit(kind, bit=, attempt=, error=)`` receives a
+    ``shard_error`` for every failed attempt and a ``shard_retry`` for
+    every new one, both carrying the 0-based attempt.  Returns
+    ``(records, seconds, attempts)``; raises :class:`RunnerError` once
+    ``max_retries`` retries have failed too.
+    """
+    attempt = 0
+    while True:
+        try:
+            if chaos is not None:
+                from repro.chaos import fire_compute_faults
+
+                fire_compute_faults(chaos, bit, attempt)
+            records, seconds = kernel.compute(bit, trials, seed)
+            return records, seconds, attempt + 1
+        except Exception as error:
+            emit("shard_error", bit=bit, attempt=attempt, error=repr(error))
+            if attempt >= max_retries:
+                raise RunnerError(
+                    f"shard for bit {bit} failed after {attempt + 1} attempt(s)"
+                ) from error
+            attempt += 1
+            time.sleep(retry_backoff * (2 ** (attempt - 1)))
+            emit("shard_retry", bit=bit, attempt=attempt, error=repr(error))
+
+
 def fold_run(run_dir) -> RunManifest:
     """Fold completion records into the manifest; idempotent.
 
@@ -158,12 +248,10 @@ class ShardWorker:
     worker_id:
         Identity recorded in leases, done records, and events; defaults
         to ``<hostname>-<pid>``.
-    stored / target / baseline:
-        The round-tripped dataset, target (format or spec string), and
-        baseline stats — passed by the in-run executor whose fork
-        already holds them.  When omitted (the standalone ``campaign
-        worker`` path) the dataset is regenerated from the manifest's
-        recorded provenance and round-tripped here.
+    kernel:
+        The run's :class:`ShardKernel`, passed by the in-run executor
+        whose fork already holds it.  When omitted (the standalone
+        ``campaign worker`` path) it is rebuilt from the manifest.
     lease_timeout:
         Seconds of heartbeat silence before another worker's lease is
         presumed orphaned and stolen.
@@ -205,9 +293,7 @@ class ShardWorker:
         run_dir,
         *,
         worker_id: str | None = None,
-        stored: np.ndarray | None = None,
-        target=None,
-        baseline: SummaryStats | None = None,
+        kernel: ShardKernel | None = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = 0.2,
         max_claims: int | None = None,
@@ -238,12 +324,8 @@ class ShardWorker:
         elif not isinstance(hooks, (list, tuple)):
             hooks = [hooks]
         self.hooks = list(hooks)
-        self._stored = stored
-        self._target = resolve(target) if target is not None else None
-        self._baseline = baseline
+        self.kernel = kernel
         self._failed: set[int] = set()
-        self._fault_spec = "single"  # replaced from the manifest in _load
-        self._app_config = None  # set in _load for app-campaign runs
         self._started = 0.0
         self.telemetry = resolve_collector(telemetry)
         self._trace_arg = trace
@@ -265,37 +347,26 @@ class ShardWorker:
                 f"{manifest.executor!r} executor, which does not coordinate "
                 "through leases; a work-stealing worker cannot join it"
             )
-        if self._target is None:
-            self._target = resolve(manifest.target_spec)
-        if self._stored is None:
-            from repro.runner.runner import _regenerate_dataset
-
-            flat = np.asarray(_regenerate_dataset(manifest)).reshape(-1)
-            self._stored = self._target.round_trip(flat)
-        if self._baseline is None:
-            self._baseline = SummaryStats.from_array(self._stored)
-        self._fault_spec = manifest.fault
-        if manifest.app is not None:
+        if self.kernel is None:
+            self.kernel = ShardKernel.from_manifest(manifest)
+        if self.kernel.app is not None:
             # App campaign: shards are (iteration, bit) cells whose seeds
             # are a pure function of (seed, iteration, bit), so this
             # worker replays any cell byte-identically to any other.
-            from repro.apps.campaign import AppCampaignConfig, cell_seeds
+            from repro.apps.campaign import cell_seeds
 
-            self._app_config = AppCampaignConfig.from_manifest(manifest)
-            return manifest, cell_seeds(self._app_config, self._target)
+            return manifest, cell_seeds(self.kernel.app, self.kernel.target)
         config = CampaignConfig(
             trials_per_bit=manifest.trials_per_bit,
             bits=manifest.bits,
             seed=manifest.seed,
             fault=manifest.fault,
         )
-        self._fault_spec = config.fault
-        seeds = bit_seeds(config, self._target)
-        return manifest, seeds
+        return manifest, bit_seeds(config, self.kernel.target)
 
     # -- events -------------------------------------------------------------
 
-    def _emit(self, log, kind: str, *, bit: int | None = None,
+    def _emit(self, log, kind: str, *, bit: int | None = None, attempt: int = 0,
               shards_done: int = 0, shards_total: int = 0,
               trials_done: int = 0, trials_total: int = 0,
               error: str | None = None, detail: dict | None = None) -> None:
@@ -305,6 +376,7 @@ class ShardWorker:
             kind=kind,
             elapsed=round(max(time.monotonic() - self._started, 0.0), 6),
             bit=bit,
+            attempt=attempt,
             shards_done=shards_done,
             shards_total=shards_total,
             trials_done=trials_done,
@@ -490,40 +562,20 @@ class ShardWorker:
 
     def _run_shard(self, log, lease, bit: int, trials: int, seed, counts) -> bool:
         """Compute + persist one claimed shard; False if retries exhausted."""
-        attempts = 0
         with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
-            while True:
-                attempts += 1
-                try:
-                    if self.chaos is not None:
-                        from repro.chaos import fire_compute_faults
-
-                        fire_compute_faults(self.chaos, bit, attempts - 1)
-                    start = time.perf_counter()
-                    if self._app_config is not None:
-                        from repro.apps.campaign import run_app_shard
-
-                        records = run_app_shard(
-                            self._app_config, self._target, bit, trials, seed,
-                        )
-                    else:
-                        records = run_campaign_shard(
-                            self._stored, self._target, bit, trials, seed,
-                            self._baseline, fault_spec=self._fault_spec,
-                        )
-                    duration = time.perf_counter() - start
-                    break
-                except Exception as error:
-                    self._emit(log, "shard_error", bit=bit,
-                               error=repr(error), **counts)
-                    if attempts > self.max_retries:
-                        # Leave the shard for a healthier worker; only if
-                        # nobody else can take it does the loop raise.
-                        self._failed.add(bit)
-                        return False
-                    time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
-                    self._emit(log, "shard_retry", bit=bit,
-                               error=repr(error), **counts)
+            try:
+                records, duration, attempts = compute_with_retries(
+                    self.kernel, bit, trials, seed,
+                    emit=lambda kind, **event: self._emit(log, kind, **event,
+                                                          **counts),
+                    max_retries=self.max_retries,
+                    retry_backoff=self.retry_backoff, chaos=self.chaos,
+                )
+            except RunnerError:
+                # Leave the shard for a healthier worker; only if nobody
+                # else can take it does the claim loop raise.
+                self._failed.add(bit)
+                return False
             checksum = persist_shard_file(self.run_dir, bit, records)
             write_done_record(
                 self.run_dir, bit,
@@ -540,7 +592,7 @@ class ShardWorker:
                     duration=duration,
                     args={"trials": len(records)},
                 )
-            self._emit(log, "shard_finish", bit=bit,
+            self._emit(log, "shard_finish", bit=bit, attempt=attempts - 1,
                        detail={"duration": round(duration, 6)},
                        **{**counts, "shards_done": counts["shards_done"] + 1,
                           "trials_done": counts["trials_done"] + len(records)})

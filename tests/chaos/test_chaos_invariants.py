@@ -53,6 +53,31 @@ class TestComputeFaults:
         assert any(e.bit == 3 and e.attempt == 0 for e in errors)
         assert "shard_retry" in hooks.kinds()
 
+    @pytest.mark.parametrize("executor", ["serial", "pool", "work-stealing"])
+    def test_worker_raise_agrees_across_executors(
+        self, chaos_field, chaos_config, tmp_path, executor
+    ):
+        clean_dir = tmp_path / "clean"
+        run_campaign(chaos_field, "posit8", chaos_config, run_dir=clean_dir)
+        run_dir = tmp_path / executor
+        plan = FaultPlan([FaultSpec("worker-raise", bits=(1, 3, 4))], seed=1)
+        result = run_campaign(
+            chaos_field, "posit8", chaos_config, jobs=2, executor=executor,
+            run_dir=run_dir, chaos=plan,
+        )
+        for bit in range(8):
+            assert (RunManifest.shard_path(run_dir, bit).read_bytes()
+                    == RunManifest.shard_path(clean_dir, bit).read_bytes()), bit
+        # Each faulted shard failed once and was retried once, whichever
+        # process (coordinator or forked worker) computed it.
+        assert result.extras["shard_retries"] == 3
+        retries = [
+            event for event in read_event_log(run_dir / "events.jsonl")
+            if event["kind"] == "shard_retry"
+        ]
+        assert sorted(event["bit"] for event in retries) == [1, 3, 4]
+        assert all(event["attempt"] == 1 for event in retries)
+
     def test_worker_crash_is_detected_and_requeued(
         self, chaos_field, chaos_config, fault_free, tmp_path
     ):

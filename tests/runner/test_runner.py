@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, FaultSpec
 from repro.inject.campaign import CampaignConfig, run_campaign
 from repro.runner import (
     CampaignRunner,
@@ -139,55 +140,43 @@ class TestPersistence:
 
 
 class TestRetries:
-    def test_serial_retry_recovers(self, small_field, monkeypatch):
+    def test_serial_retry_recovers(self, small_field):
         config = CampaignConfig(trials_per_bit=4, bits=(0, 1, 2), seed=3)
         expected = run_campaign(small_field, "posit32", config)
 
-        original = CampaignRunner._compute_shard
-        failures = {"left": 2}
-
-        def flaky(self, spec):
-            if spec.bit == 1 and failures["left"] > 0:
-                failures["left"] -= 1
-                raise OSError("transient worker failure")
-            return original(self, spec)
-
-        monkeypatch.setattr(CampaignRunner, "_compute_shard", flaky)
+        # Attempts 0 and 1 of bit 1 fail; the second retry succeeds.
+        plan = FaultPlan([FaultSpec("worker-raise", bits=(1,), max_attempt=1)])
         hooks = RecordingHooks()
         result = run_campaign(
-            small_field, "posit32", config, hooks=hooks, max_retries=2
+            small_field, "posit32", config, hooks=hooks, max_retries=2, chaos=plan
         )
         assert_records_identical(expected.records, result.records)
         assert result.extras["shard_retries"] == 2
-        assert hooks.kinds().count("shard_retry") == 2
+        retries = [e for e in hooks.events if e.kind == "shard_retry"]
+        assert [(e.bit, e.attempt) for e in retries] == [(1, 1), (1, 2)]
 
-    def test_serial_retries_exhausted(self, small_field, monkeypatch):
-        def always_fails(self, spec):
-            raise OSError("permanent failure")
-
-        monkeypatch.setattr(CampaignRunner, "_compute_shard", always_fails)
+    def test_serial_retries_exhausted(self, small_field):
+        plan = FaultPlan([FaultSpec("worker-raise", max_attempt=10)])
         config = CampaignConfig(trials_per_bit=2, bits=(0,), seed=3)
-        with pytest.raises(RunnerError, match="failed after"):
+        with pytest.raises(RunnerError, match="failed after 2 attempt"):
             run_campaign(
-                small_field, "posit32", config, max_retries=1
+                small_field, "posit32", config, max_retries=1, chaos=plan
             )
 
-    def test_pool_failure_falls_back_in_process(self, small_field, monkeypatch):
-        import repro.inject.parallel as parallel_module
-
+    def test_pool_failure_falls_back_in_process(self, small_field):
         config = CampaignConfig(trials_per_bit=3, bits=(0, 1, 2, 3), seed=8)
         expected = run_campaign(small_field, "posit32", config)
 
-        def broken_worker(args):
-            raise RuntimeError("worker exploded")
-
-        monkeypatch.setattr(parallel_module, "_run_shard_timed", broken_worker)
+        # Every pool attempt fails; the in-process fallback (which fires
+        # no compute faults) completes each shard.
+        plan = FaultPlan([FaultSpec("worker-raise", max_attempt=10)])
         hooks = RecordingHooks()
         result = run_campaign(
-            small_field, "posit32", config, jobs=2, hooks=hooks, max_retries=1
+            small_field, "posit32", config, jobs=2, hooks=hooks, max_retries=1,
+            chaos=plan,
         )
         assert_records_identical(expected.records, result.records)
-        assert "shard_fallback" in hooks.kinds()
+        assert hooks.kinds().count("shard_fallback") == 4
 
 
 class TestEvents:

@@ -126,6 +126,18 @@ class TestSingleWorker:
         with pytest.raises(RunnerError, match="cannot join"):
             ShardWorker(run_dir)._load()
 
+    def test_worker_refuses_data_its_manifest_does_not_fingerprint(self, tmp_path):
+        # The submitter's array is not what the recorded provenance
+        # regenerates; computing from the regenerated field would write
+        # shards that no check downstream could tell apart from good ones.
+        run_dir = tmp_path / "run"
+        CampaignRunner(
+            _dataset() * 2.0, "posit16", CampaignConfig(trials_per_bit=2, bits=(0,)),
+            run_dir=run_dir, dataset=_provenance(),
+        ).submit()
+        with pytest.raises(RunnerError, match="fingerprint"):
+            ShardWorker(run_dir)._load()
+
     def test_cancel_stops_the_worker(self, tmp_path):
         run_dir = tmp_path / "run"
         _submit(run_dir, bits=(0, 1, 2))
