@@ -17,7 +17,7 @@ and hard kills into a live :class:`repro.runner.CampaignRunner`:
     run_campaign(data, "posit32", config, jobs=2, run_dir="runs/drill",
                  chaos=plan, heartbeat_timeout=2.0)
 
-The hardened runner survives: retries and heartbeat-kills recover
+The hardened runner survives: retries and hung-worker kills recover
 compute faults, SHA-256 shard checksums catch file corruption on
 resume (corrupt shards are quarantined and recomputed), and
 ``posit-resiliency campaign verify <run-dir>`` audits a run directory

@@ -1,6 +1,6 @@
 """Differential checks: every codec against an independent implementation.
 
-Three cross-checks, each a pure function from an
+Four cross-checks, each a pure function from an
 :class:`~repro.conformance.oracle.OracleContext` and a format to a
 :class:`~repro.conformance.report.CheckResult`:
 
@@ -14,8 +14,6 @@ Three cross-checks, each a pure function from an
   gathers per 32-bit pattern) against the direct backend: exhaustive
   for widths the oracle can exhaust, stratified-sampled plus
   NaR/NaN/Inf/signed-zero corner patterns at 32 bits;
-* ``numba-agreement`` — the JIT-compiled scalar decode against the
-  direct backend (skipped when numba is not installed);
 * ``metrics-fast-vs-full`` — the campaign's O(1) single-fault metric
   shortcut against the full-array reference reduction, over seeded
   faults including NaN/Inf/zero corners.
@@ -37,7 +35,6 @@ from repro.formats import (
     COMPOSED_MAX_BITS,
     LUT_MAX_BITS,
     NumberFormat,
-    numba_available,
     parse_spec,
 )
 
@@ -240,16 +237,6 @@ def check_composed_agreement(ctx, fmt: NumberFormat) -> CheckResult:
         result.skipped = True
         return result
     return _check_alternate_backend(ctx, fmt, "composed", "composed-agreement")
-
-
-def check_numba_agreement(ctx, fmt: NumberFormat) -> CheckResult:
-    """JIT-compiled and direct backends must be bit-identical."""
-    collector = FindingCollector("numba-agreement", fmt.name)
-    if not numba_available():
-        result = collector.finish(0)
-        result.skipped = True
-        return result
-    return _check_alternate_backend(ctx, fmt, "numba", "numba-agreement")
 
 
 #: Metric row keys compared between the fast path and the reference.

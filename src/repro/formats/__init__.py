@@ -30,7 +30,6 @@ from repro.formats.base import NumberFormat
 from repro.formats.composed import COMPOSED_MAX_BITS, ComposedLUTBackend
 from repro.formats.fixedposit import FixedPositConfig, FixedPositTarget
 from repro.formats.ieee import IEEETarget
-from repro.formats.jit import NumbaBackend, numba_available
 from repro.formats.posit import PositTarget
 from repro.formats.registry import (
     DEFAULT_FORMATS,
@@ -55,7 +54,6 @@ __all__ = [
     "IEEETarget",
     "LUTBackend",
     "LUT_MAX_BITS",
-    "NumbaBackend",
     "NumberFormat",
     "PositTarget",
     "available_formats",
@@ -66,7 +64,6 @@ __all__ = [
     "get_format",
     "make_backend",
     "normalize_spec",
-    "numba_available",
     "parse_spec",
     "register_format",
     "resolve",

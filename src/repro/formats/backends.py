@@ -1,6 +1,6 @@
 """Pluggable codec backends for :class:`~repro.formats.base.NumberFormat`.
 
-Four backends serve the protocol's hot operations:
+Three backends serve the protocol's hot operations:
 
 ``direct``
     Calls the format's raw vectorized encode/decode/classify on every
@@ -22,10 +22,6 @@ Four backends serve the protocol's hot operations:
     Table decoding for widths up to 32 bits by composing two 16-bit
     gathers, with per-row bit-exactness proved at build time (see
     :mod:`repro.formats.composed`).
-
-``numba``
-    Optional JIT-compiled direct codec (see :mod:`repro.formats.jit`);
-    selecting it when numba is not installed falls back to ``direct``.
 
 Tables are built lazily on first use (a 16-bit format costs one
 exhaustive decode plus ~nbits classify sweeps, ~1 MiB resident), so
@@ -54,7 +50,6 @@ consumed by the encode-once campaign pipeline
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 
@@ -66,7 +61,7 @@ LUT_MAX_BITS = 16
 #: Environment variable overriding automatic backend selection.
 BACKEND_ENV_VAR = "REPRO_FORMAT_BACKEND"
 
-_BACKEND_CHOICES = ("auto", "direct", "lut", "composed", "numba")
+_BACKEND_CHOICES = ("auto", "direct", "lut", "composed")
 
 
 def flip_patterns(bits, bit_indices, dtype) -> np.ndarray:
@@ -92,9 +87,7 @@ def resolve_backend_name(fmt, requested: str | None) -> str:
     enough to tabulate).  An explicit ``lut``/``composed`` request for a
     too-wide format is an error; the same choice at environment level
     quietly falls back to ``direct`` so one process-wide setting never
-    breaks wider campaigns.  ``numba`` without numba installed warns on
-    an explicit request and silently degrades on an environment-level
-    one — either way the process keeps running on ``direct``.
+    breaks wider campaigns.  Any other name is a :class:`ValueError`.
     """
     from repro.formats.composed import COMPOSED_MAX_BITS
 
@@ -118,18 +111,6 @@ def resolve_backend_name(fmt, requested: str | None) -> str:
             f"composed backend supports formats up to {COMPOSED_MAX_BITS} bits, "
             f"but {fmt.name} has {fmt.nbits}"
         )
-    if choice == "numba":
-        from repro.formats.jit import numba_available
-
-        if not numba_available():
-            if requested is not None:
-                warnings.warn(
-                    "numba backend requested but numba is not installed; "
-                    "falling back to the direct codec",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return "direct"
     if choice == "auto":
         return "lut" if fmt.nbits <= LUT_MAX_BITS else "direct"
     return choice
@@ -143,7 +124,7 @@ def batch_backend_name(fmt) -> str:
     per field and can afford the composed backend's one-time table
     build, so 17–32-bit formats get ``composed`` by default.  A
     non-``auto`` ``REPRO_FORMAT_BACKEND`` still wins, with the same
-    width/availability fallbacks as :func:`resolve_backend_name`.
+    width fallbacks as :func:`resolve_backend_name`.
     """
     env = os.environ.get(BACKEND_ENV_VAR)
     if env is not None and env.strip().lower() != "auto":
@@ -166,10 +147,6 @@ def make_backend(fmt, requested: str | None = None):
         from repro.formats.composed import ComposedLUTBackend
 
         return ComposedLUTBackend(fmt)
-    if name == "numba":
-        from repro.formats.jit import NumbaBackend
-
-        return NumbaBackend(fmt)
     return DirectBackend(fmt)
 
 

@@ -18,8 +18,8 @@ atomic lease files.
 Hardening (see ``docs/robustness.md``): shard files are written
 atomically and carry SHA-256 checksums verified on resume (corrupt
 files are quarantined under ``shards/quarantine/``, never trusted),
-pool workers heartbeat so hung or dead workers are killed and their
-shards requeued, SIGTERM checkpoints like Ctrl-C, and
+hung or dead pool children are killed and replaced and their shards
+requeued, SIGTERM checkpoints like Ctrl-C, and
 :func:`verify_run` audits a run directory end to end.
 """
 

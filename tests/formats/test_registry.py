@@ -77,6 +77,20 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="backend"):
             parse_spec("posit16")
 
+    @pytest.mark.parametrize("name", ["numba", "dirct"])
+    @pytest.mark.parametrize("via", ["argument", "environment"])
+    def test_unknown_backend_lists_choices(self, monkeypatch, name, via):
+        # An empty cache, so resolve() builds the format and reads the env.
+        monkeypatch.setattr(registry_module, "_INSTANCES", {})
+        if via == "environment":
+            monkeypatch.setenv("REPRO_FORMAT_BACKEND", name)
+        choices = "auto, direct, lut, composed"
+        with pytest.raises(ValueError, match=f"{name}.*{choices}"):
+            if via == "argument":
+                resolve("posit32", backend=name)
+            else:
+                resolve("posit32")
+
 
 class TestResolveEntryPoint:
     def test_resolve_accepts_specs(self):
