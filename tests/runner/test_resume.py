@@ -13,6 +13,7 @@ from repro.runner import (
     read_event_log,
     resume_campaign,
     run_status,
+    verify_run,
 )
 from repro.runner.manifest import RUN_INTERRUPTED, RunManifest
 
@@ -64,6 +65,22 @@ class TestResumeBitIdentical:
         assert_records_identical(uninterrupted.records, resumed.records)
         assert resumed.extras["resumed_shards"] == status.shards_done
         assert run_status(run_dir).complete
+
+    def test_resume_sweeps_temp_of_killed_writer(self, small_field, config, tmp_path):
+        # A run killed between a shard's temp write and its rename leaves
+        # bit-N.csv.tmp-<pid>; the resumed run must not leave it behind
+        # for `verify` to flag.
+        run_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(small_field, "posit32", config,
+                         run_dir=run_dir, hooks=KillAfter(3))
+        pending = run_status(run_dir).pending_bits[0]
+        shard = RunManifest.shard_path(run_dir, pending)
+        shard.with_name(shard.name + ".tmp-99999").write_bytes(b"torn partial csv")
+
+        resume_campaign(run_dir, small_field)
+        assert not list(shard.parent.glob("*.tmp-*"))
+        assert verify_run(run_dir).ok
 
     def test_double_interrupt_then_resume(self, small_field, config, uninterrupted, tmp_path):
         run_dir = tmp_path / "run"
